@@ -48,7 +48,6 @@ from repro.channel.trials import (
 from repro.channel.waveform import (
     awgn,
     empirical_chip_flip_rate,
-    empirical_chip_flip_rate_reference,
     jam_trial,
     make_jamming_waveform,
     mix,
@@ -83,7 +82,6 @@ __all__ = [
     "zigbee_offset_in_wifi_hz",
     "awgn",
     "empirical_chip_flip_rate",
-    "empirical_chip_flip_rate_reference",
     "jam_trial",
     "make_jamming_waveform",
     "mix",

@@ -73,15 +73,18 @@ DEFAULT_PER_CACHE_CAPACITY = 1 << 16
 def resolve_per_cache_capacity(value: int | str | None = None) -> int:
     """Resolve the PER-cache capacity from an override or ``REPRO_PER_CACHE``.
 
-    ``None`` (and an unset/empty environment) selects
+    ``None`` (and an unset, empty or blank environment) selects
     :data:`DEFAULT_PER_CACHE_CAPACITY`; ``0``, ``off`` or ``none`` disable
     caching entirely.
     """
     if value is None:
         value = os.environ.get(PER_CACHE_ENV)
+    if isinstance(value, str):
+        value = value.strip()
     if value is None or value == "":
+        # Blank counts as unset, as in every other REPRO_* resolver.
         return DEFAULT_PER_CACHE_CAPACITY
-    if isinstance(value, str) and value.strip().lower() in ("off", "none"):
+    if isinstance(value, str) and value.lower() in ("off", "none"):
         return 0
     try:
         capacity = int(value)

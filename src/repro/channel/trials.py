@@ -3,20 +3,33 @@
 :func:`repro.channel.waveform.jam_trial` simulates one frame per call:
 it re-encodes a full jammer frame (an 802.11 OFDM transmit chain, or the
 whole EmuBee inverse/forward pipeline), draws noise, and demodulates one
-waveform. This module runs N independent trials as ``(N, samples)``
-tensor operations instead:
+waveform. This module runs N independent trials as one fused batch
+kernel whose rows are bit-identical to that serial path.
 
-* **jammer bank** — each signal type's unit-power burst is generated
-  once (:class:`JammerBank`, sized by ``REPRO_JAMMER_BANK``) and trials
-  take random slices of it, replacing the per-trial encode chain;
-* **per-trial child RNG streams** — trial ``i`` draws from a stream
-  derived from ``(seed, i)`` only, so results are bit-identical to the
-  serial :func:`~repro.channel.waveform.jam_trial` bank path per trial
-  and invariant to batch size, chunking, and worker count;
-* **batched PHY** — O-QPSK modulation, AWGN mixing, matched filtering
-  (one ``(N, n_pairs, win)`` tensor against the half-sine pulse) and
-  DSSS despreading (one ±1 GEMM against ``CHIP_TABLE_PM``) all run over
-  the whole batch at once.
+Cost model. Only two things run per trial:
+
+* **stream derivation** — trial ``i`` draws from a child stream derived
+  from ``(seed, i)`` only, so results are invariant to batch size,
+  chunking and worker count;
+* **the draws** — the payload (in :func:`run_chip_flip_trials`), one
+  jammer-bank slice start, and the real and the imaginary noise block,
+  in the serial order.
+
+Everything else runs once per batch, or once per block of rows sized to
+stay in cache (:data:`BLOCK_SAMPLES`), over float I and Q planes:
+
+* **victim** — every payload of a length shares one O-QPSK power, so the
+  victim is one cached unit-power template with each chip's pulse sign
+  applied (:func:`repro.phy.zigbee.oqpsk_template`);
+* **jammer** — each signal type's unit-power burst is generated once
+  (:class:`JammerBank`, sized by ``REPRO_JAMMER_BANK``) with its real,
+  imaginary and ``|burst|²`` planes cached beside it; slices are copied
+  out of those planes and each row's RMS is the mean of its ``|burst|²``;
+* **mixing** — I and Q planes are mixed separately, in the serial
+  rounding order, straight into the receive buffer;
+* **receiver** — matched filtering (one ``(rows, n_pairs, win)`` tensor
+  per block against the half-sine pulse) and DSSS despreading (one ±1
+  GEMM against ``CHIP_TABLE_PM``).
 
 Large trial counts fan out through :class:`repro.exec.ParallelRunner` as
 *chunks* of trials (``REPRO_TRIAL_BATCH`` / ``--trial-batch``), one task
@@ -44,7 +57,7 @@ from repro.errors import ChannelError, ConfigurationError
 from repro.exec.runner import ParallelRunner
 from repro.obs.metrics import METRICS
 from repro.phy import zigbee
-from repro.rng import SeedLike, derive
+from repro.rng import SeedLike, derive, make_rng
 
 #: Environment variable sizing the jammer waveform bank (samples per
 #: signal type at 20 Msps). ``0``/``off`` disables the bank: every trial
@@ -189,6 +202,8 @@ class JammerBank:
         self.seed = int(seed)
         self.alpha = alpha
         self._bursts: dict[tuple[str, float], np.ndarray] = {}
+        # Per burst, the batched slicer's planes (see _planes_for).
+        self._planes: dict[tuple[str, float], np.ndarray] = {}
 
     def burst(
         self, signal_type: JammerSignalType, *, offset_hz: float = 0.0
@@ -264,15 +279,73 @@ class JammerBank:
         """
         if n_samples < 1:
             raise ChannelError("need at least one sample")
-        from repro.rng import make_rng
-
-        r = make_rng(rng)
         burst = self.burst(signal_type, offset_hz=offset_hz)
-        pair = 2 * zigbee.DEFAULT_SAMPLES_PER_CHIP
-        n_slots = max(burst.size // pair, 1)
-        start = int(r.integers(0, n_slots)) * pair
+        start = self._slice_start(burst.size, make_rng(rng))
         idx = (start + np.arange(n_samples)) % burst.size
         return scale_to_power(burst[idx], 0.0)
+
+    def unit_slices(
+        self,
+        signal_type: JammerSignalType,
+        streams: list[np.random.Generator],
+        out: np.ndarray,
+        *,
+        offset_hz: float = 0.0,
+    ) -> None:
+        """One unit-power slice per stream, into ``out``'s I and Q planes.
+
+        ``out`` is a ``(2, N, n_samples)`` float array. Its rows ``[:, i]``
+        are bit-identical to the real and imaginary parts of
+        ``waveform(signal_type, n_samples, rng=streams[i], ...)``, and
+        each stream gives the same one draw. Each row's RMS is the mean of
+        the slice's cached ``|burst|²``, which is what ``scale_to_power``
+        computes from the complex slice.
+        """
+        n_samples = out.shape[2]
+        if n_samples < 1:
+            raise ChannelError("need at least one sample")
+        re, im, power = self._planes_for(signal_type, offset_hz, n_samples)
+        starts = [self._slice_start(self.samples, r) for r in streams]
+        re_out, im_out = out
+        # The |burst|² rows pass through the Q plane before the Q rows do.
+        for i, start in enumerate(starts):
+            im_out[i] = power[start : start + n_samples]
+        rms = np.sqrt(np.mean(im_out, axis=1))
+        if np.any(rms == 0.0):
+            raise ChannelError("cannot scale an all-zero waveform")
+        scale = (np.sqrt(db_to_linear(0.0)) / rms)[:, None]
+        for i, start in enumerate(starts):
+            re_out[i] = re[start : start + n_samples]
+            im_out[i] = im[start : start + n_samples]
+        re_out *= scale
+        im_out *= scale
+
+    def _planes_for(
+        self, signal_type: JammerSignalType, offset_hz: float, n_samples: int
+    ) -> np.ndarray:
+        """A burst's real, imaginary and ``|burst|²`` planes, repeated on
+        past its end so every wrapped ``n_samples`` slice is one window."""
+        key = (signal_type.value, float(offset_hz))
+        burst = self.burst(signal_type, offset_hz=offset_hz)
+        length = burst.size + n_samples - 1
+        planes = self._planes.get(key)
+        if planes is None or planes.shape[1] < length:
+            planes = np.stack(
+                [
+                    np.resize(plane, length)
+                    for plane in (burst.real, burst.imag, np.abs(burst) ** 2)
+                ]
+            )
+            planes.setflags(write=False)
+            self._planes[key] = planes
+        return planes
+
+    @staticmethod
+    def _slice_start(burst_size: int, r: np.random.Generator) -> int:
+        """A slice start on a chip-pair boundary: one integer draw."""
+        pair = 2 * zigbee.DEFAULT_SAMPLES_PER_CHIP
+        n_slots = max(burst_size // pair, 1)
+        return int(r.integers(0, n_slots)) * pair
 
 
 @lru_cache(maxsize=8)
@@ -335,6 +408,26 @@ def _payload_chips(payloads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     return symbols, chips
 
 
+@lru_cache(maxsize=32)
+def _victim_pulses(n_chips: int, spc: int) -> tuple[np.ndarray, np.ndarray]:
+    """I/Q pulses of the unit-power victim of ``n_chips`` zero chips.
+
+    ``jam_trial`` scales ``oqpsk_modulate``'s output to unit power once
+    more; that is sign-symmetric too, so one template serves every
+    payload of the length.
+    """
+    victim = scale_to_power(zigbee.oqpsk_template(n_chips, spc), 0.0)
+    victim.setflags(write=False)
+    return zigbee.oqpsk_branch_pulses(victim, spc)
+
+
+#: Samples per plane in one row block of :func:`jam_trials`: its five
+#: working planes (jammer I and Q, scratch, receive I and Q) then take
+#: 1.25 MiB and stay in a core's L2 cache. A whole batch's planes spill
+#: to memory, and every pass over them runs at memory bandwidth instead.
+BLOCK_SAMPLES = 1 << 15
+
+
 def jam_trials(
     payloads: list[bytes] | tuple[bytes, ...],
     *,
@@ -358,8 +451,8 @@ def jam_trials(
     Pass ``rngs`` to supply the per-trial generators directly (they must
     be positioned exactly where the serial trial would start drawing);
     otherwise they are derived from ``rng`` via :func:`trial_stream`.
-    All payloads must share one length so victim waveforms stack into a
-    ``(N, samples)`` matrix.
+    All payloads must share one length, so that every trial's victim
+    comes from one O-QPSK template.
     """
     payloads = [bytes(p) for p in payloads]
     if not payloads:
@@ -382,54 +475,73 @@ def jam_trials(
 
     spc = zigbee.DEFAULT_SAMPLES_PER_CHIP
     expected_symbols, expected_chips = _payload_chips(payloads)
-
-    # Victim: batched O-QPSK modulation, each row scaled to unit power
-    # with the same per-row expression scale_to_power applies.
-    clean = zigbee.oqpsk_modulate_batch(expected_chips, spc)
-    rms = np.sqrt(np.mean(np.abs(clean) ** 2, axis=1))
-    if np.any(rms == 0.0):
-        raise ChannelError("cannot scale an all-zero waveform")
-    victim = clean * (np.sqrt(db_to_linear(0.0)) / rms)[:, None]
-    n_samples = victim.shape[1]
-
-    # Jammer: one bank slice (or freshly encoded frame) per trial stream,
-    # stacked and scaled by the common jam/signal amplitude.
-    unit_jam = np.empty((n, n_samples), dtype=np.complex128)
-    for i, stream in enumerate(streams):
-        if bank is not None:
-            unit_jam[i] = bank.waveform(
-                signal_type, n_samples, rng=stream, offset_hz=offset_hz
-            )
-        else:
-            unit_jam[i] = make_jamming_waveform(
-                signal_type, n_samples, rng=stream, offset_hz=offset_hz
-            )
-    rx = victim + unit_jam * np.sqrt(db_to_linear(jam_to_signal_db))
-
-    # Noise: batched AWGN, one child stream per trial (draw order matches
-    # awgn(): real block then imaginary block, then the sigma scale).
-    sigma = np.sqrt(db_to_linear(noise_to_signal_db) / 2.0)
-    noise = np.empty((n, n_samples), dtype=np.complex128)
-    for i, stream in enumerate(streams):
-        noise[i] = sigma * (
-            stream.standard_normal(n_samples)
-            + 1j * stream.standard_normal(n_samples)
-        )
-    rx += noise
-
-    # Receiver: batched matched filter, then one despreading GEMM over
-    # every 32-chip window of every trial.
-    rx_chips = zigbee.oqpsk_demodulate_batch(rx, spc)
     n_chips = expected_chips.shape[1]
-    rx_chips = rx_chips[:, :n_chips]
+    n_samples = (n_chips + 1) * spc
+    body = n_chips * spc
+    levels = 1.0 - 2.0 * expected_chips.astype(np.float64)
+    pulses = _victim_pulses(n_chips, spc)
+    jam_amplitude = np.sqrt(db_to_linear(jam_to_signal_db))
+    sigma = np.sqrt(db_to_linear(noise_to_signal_db) / 2.0)
+
+    rows = max(1, min(n, BLOCK_SAMPLES // n_samples))
+    jam = np.empty((2, rows, n_samples))
+    scratch = np.empty((rows, n_samples))
+    rx = np.empty((rows, n_samples), dtype=np.complex128)
+    rx_chips = np.empty_like(expected_chips)
+    for first in range(0, n, rows):
+        block = streams[first : first + rows]
+        m = len(block)
+        # Each trial stream draws in the serial order: its jammer (one
+        # bank slice start, or a freshly encoded frame) here, then its
+        # real and its imaginary noise block below. Streams are
+        # independent, so only the order within a stream matters.
+        if bank is not None:
+            bank.unit_slices(signal_type, block, jam[:, :m], offset_hz=offset_hz)
+        else:
+            for i, stream in enumerate(block):
+                unit_jam = make_jamming_waveform(
+                    signal_type, n_samples, rng=stream, offset_hz=offset_hz
+                )
+                jam[0, i] = unit_jam.real
+                jam[1, i] = unit_jam.imag
+
+        # Mix one plane at a time into the receive buffer, in the serial
+        # rounding order (victim + unit_jam·amp) + σ·noise: each product
+        # rounds on its own, and float + and × commute exactly. The
+        # victim is the template's pulses with each chip's sign applied;
+        # the Q branch starts one chip period late.
+        for k, out in enumerate((rx.real[:m], rx.imag[:m])):
+            plane = jam[k, :m]
+            plane *= jam_amplitude
+            victim = scratch.reshape(-1)[: m * body]
+            np.multiply(
+                levels[first : first + m, k::2, None],
+                pulses[k],
+                out=victim.reshape(m, n_chips // 2, 2 * spc),
+            )
+            plane[:, k * spc : k * spc + body] += victim.reshape(m, body)
+            noise = scratch[:m]
+            for i, stream in enumerate(block):
+                stream.standard_normal(out=noise[i])
+            noise *= sigma
+            np.add(plane, noise, out=out)
+
+        # Receiver: batched matched filter over the block.
+        rx_chips[first : first + m] = zigbee.oqpsk_demodulate_batch(
+            rx[:m], spc
+        )[:, :n_chips]
+
     cer = (
         np.count_nonzero(rx_chips != expected_chips, axis=1).astype(np.float64)
         / n_chips
     )
+    # One despreading GEMM over every 32-chip window of every trial.
     symbols, _ = zigbee.despread(rx_chips.reshape(-1))
     symbols = symbols.reshape(n, -1)
     ser = np.mean(symbols != expected_symbols, axis=1)
-    decoded = tuple(zigbee.symbols_to_bytes(row) for row in symbols)
+    # Symbols are uint8 nibbles, low nibble first (symbols_to_bytes).
+    octets = (symbols[:, 1::2] << 4) | symbols[:, 0::2]
+    decoded = tuple(row.tobytes() for row in octets)
     delivered = np.array(
         [d == p for d, p in zip(decoded, payloads)], dtype=bool
     )

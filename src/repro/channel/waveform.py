@@ -192,36 +192,6 @@ def empirical_chip_flip_rate(
     )
 
 
-def empirical_chip_flip_rate_reference(
-    signal_type: JammerSignalType,
-    jam_to_signal_db: float,
-    *,
-    trials: int = 10,
-    payload_bytes: int = 8,
-    rng: SeedLike = None,
-) -> float:
-    """Pre-batching :func:`empirical_chip_flip_rate`: one serial stream.
-
-    Draws every payload, jammer frame, and noise vector from a single
-    sequential generator and re-encodes the jammer each trial. Kept as
-    the original-semantics reference for the statistical property tests.
-    """
-    if trials < 1:
-        raise ChannelError("need at least one trial")
-    r = make_rng(rng)
-    total = 0.0
-    for _ in range(trials):
-        payload = bytes(r.integers(0, 256, payload_bytes, dtype=np.uint8))
-        result = jam_trial(
-            payload,
-            signal_type=signal_type,
-            jam_to_signal_db=jam_to_signal_db,
-            rng=r,
-        )
-        total += result.chip_error_rate
-    return total / trials
-
-
 __all__ = [
     "scale_to_power",
     "awgn",
@@ -230,5 +200,4 @@ __all__ = [
     "WaveformTrialResult",
     "jam_trial",
     "empirical_chip_flip_rate",
-    "empirical_chip_flip_rate_reference",
 ]

@@ -228,6 +228,45 @@ def oqpsk_demodulate(
     return chips
 
 
+@lru_cache(maxsize=32)
+def _oqpsk_template_cached(n_chips: int, samples_per_chip: int) -> np.ndarray:
+    wf = oqpsk_modulate(np.zeros(n_chips, dtype=np.uint8), samples_per_chip)
+    wf.setflags(write=False)
+    return wf
+
+
+def oqpsk_template(
+    n_chips: int, samples_per_chip: int = DEFAULT_SAMPLES_PER_CHIP
+) -> np.ndarray:
+    """The unit-power O-QPSK waveform of ``n_chips`` zero chips.
+
+    Every chip stream of that length normalises by the same RMS: the
+    power sums ``hypot(±i, ±q)²`` over a fixed pulse layout, and
+    ``hypot`` ignores signs. So any stream's waveform is this template
+    with the pulse of every ``1`` chip negated, bit for bit (IEEE
+    rounding is sign-symmetric). Memoized; the array is read-only.
+    """
+    if n_chips < 2 or n_chips % 2:
+        raise EncodingError("chip count must be even (I/Q pairs)")
+    return _oqpsk_template_cached(int(n_chips), int(samples_per_chip))
+
+
+def oqpsk_branch_pulses(
+    template: np.ndarray, samples_per_chip: int = DEFAULT_SAMPLES_PER_CHIP
+) -> tuple[np.ndarray, np.ndarray]:
+    """A template's I and Q pulses as ``(n_pairs, 2 × samples/chip)`` views.
+
+    Row ``k`` of the I (Q) matrix is the pulse chip ``2k`` (``2k + 1``)
+    rides on. The I branch starts at sample 0 and the Q branch one chip
+    period later; both span ``n_pairs × 2 × samples/chip`` samples.
+    """
+    body = template.size - samples_per_chip
+    width = 2 * samples_per_chip
+    i_pulses = template.real[:body].reshape(-1, width)
+    q_pulses = template.imag[samples_per_chip:].reshape(-1, width)
+    return i_pulses, q_pulses
+
+
 def oqpsk_modulate_batch(
     chips: "np.typing.ArrayLike",
     samples_per_chip: int = DEFAULT_SAMPLES_PER_CHIP,
@@ -236,34 +275,27 @@ def oqpsk_modulate_batch(
 
     ``chips`` is an ``(N, n_chips)`` 0/1 matrix; the result is an
     ``(N, samples)`` complex matrix whose row ``i`` is bit-identical to
-    ``oqpsk_modulate(chips[i], samples_per_chip)`` — the pulse tiling is
-    the same outer product per row and the per-row RMS normalisation
-    reduces along the contiguous last axis exactly as the 1-D mean does.
+    ``oqpsk_modulate(chips[i], samples_per_chip)``: each row flips the
+    signs of the pulses of :func:`oqpsk_template`, which needs no
+    per-row normalisation.
     """
     arr = np.asarray(chips, dtype=np.uint8)
     if arr.ndim != 2:
         raise EncodingError(f"chip matrix must be 2-D, got shape {arr.shape}")
     if arr.size and arr.max(initial=0) > 1:
         raise EncodingError("bit array contains values other than 0 and 1")
-    if arr.shape[1] % 2 or arr.shape[1] == 0:
-        raise EncodingError("chip count must be even (I/Q pairs)")
-    n, _ = arr.shape
+    n, n_chips = arr.shape
+    i_pulses, q_pulses = oqpsk_branch_pulses(
+        oqpsk_template(n_chips, samples_per_chip), samples_per_chip
+    )
     levels = 1.0 - 2.0 * arr.astype(np.float64)
-    pulse = half_sine_pulse(samples_per_chip)
-    n_pairs = arr.shape[1] // 2
-    body = 2 * n_pairs * samples_per_chip
-    total = body + samples_per_chip
-    i_branch = np.zeros((n, total), dtype=np.float64)
-    q_branch = np.zeros((n, total), dtype=np.float64)
-    i_branch[:, :body] = (levels[:, 0::2, None] * pulse).reshape(n, -1)
-    q_branch[:, samples_per_chip : samples_per_chip + body] = (
-        levels[:, 1::2, None] * pulse
+    body = n_chips * samples_per_chip
+    waveform = np.zeros((n, body + samples_per_chip), dtype=np.complex128)
+    waveform.real[:, :body] = (levels[:, 0::2, None] * i_pulses).reshape(n, -1)
+    waveform.imag[:, samples_per_chip:] = (
+        levels[:, 1::2, None] * q_pulses
     ).reshape(n, -1)
-    waveform = i_branch + 1j * q_branch
-    rms = np.sqrt(np.mean(np.abs(waveform) ** 2, axis=1))
-    # Divide (not multiply by a reciprocal): the serial path divides, and
-    # only division reproduces its rounding bit-for-bit.
-    return waveform / np.where(rms > 0, rms, 1.0)[:, None]
+    return waveform
 
 
 def oqpsk_demodulate_batch(
@@ -388,6 +420,8 @@ __all__ = [
     "half_sine_pulse",
     "oqpsk_modulate",
     "oqpsk_demodulate",
+    "oqpsk_template",
+    "oqpsk_branch_pulses",
     "oqpsk_modulate_batch",
     "oqpsk_demodulate_batch",
     "ZigBeePhyConfig",

@@ -32,6 +32,15 @@ class TestCapacityResolution:
         monkeypatch.setenv(PER_CACHE_ENV, "")
         assert resolve_per_cache_capacity() == DEFAULT_PER_CACHE_CAPACITY
 
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \n"])
+    def test_blank_env_is_default(self, monkeypatch, blank):
+        monkeypatch.setenv(PER_CACHE_ENV, blank)
+        assert resolve_per_cache_capacity() == DEFAULT_PER_CACHE_CAPACITY
+
+    def test_padded_env_integer(self, monkeypatch):
+        monkeypatch.setenv(PER_CACHE_ENV, " 128 ")
+        assert resolve_per_cache_capacity() == 128
+
     def test_env_integer(self, monkeypatch):
         monkeypatch.setenv(PER_CACHE_ENV, "128")
         assert resolve_per_cache_capacity() == 128

@@ -9,7 +9,10 @@ batch size and worker count.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.channel.fidelity import OFFSET_BIN_MHZ
 from repro.channel.link import JammerSignalType
 from repro.channel.trials import (
     DEFAULT_BANK_SAMPLES,
@@ -189,6 +192,73 @@ class TestBatchBitIdentity:
         # At -20 dB J/S the link is clean: packets decode.
         assert res.packet_delivered.all()
         assert res.decoded == tuple(payloads)
+
+
+#: A bank shorter than the shortest frame (1 byte = 650 samples): every
+#: slice wraps, most of them several times.
+SHORT_BANK = JammerBank(200, seed=4)
+
+#: dB ratios: the ±20 dB extremes, or anything between them.
+RATIO_DB = st.one_of(
+    st.sampled_from([-20.0, 20.0]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+
+
+def _payload_batch(kind: str, n: int, length: int, seed: int) -> list[bytes]:
+    """``n`` equal-length payloads: random, all-0x00, all-0xFF or mixed."""
+    r = make_rng(seed)
+    rows = {
+        "random": lambda i: bytes(r.integers(0, 256, length, dtype=np.uint8)),
+        "zeros": lambda i: b"\x00" * length,
+        "ones": lambda i: b"\xff" * length,
+        "mixed": lambda i: (
+            b"\x00" * length,
+            b"\xff" * length,
+            bytes(r.integers(0, 256, length, dtype=np.uint8)),
+        )[i % 3],
+    }[kind]
+    return [rows(i) for i in range(n)]
+
+
+class TestBatchMatchesSerialProperty:
+    """Every row of jam_trials equals the serial jam_trial on its stream."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        signal_type=st.sampled_from(list(JammerSignalType)),
+        offset_bins=st.sampled_from([0, 3]),
+        length=st.integers(1, 16),
+        kind=st.sampled_from(["random", "zeros", "ones", "mixed"]),
+        n=st.sampled_from([1, 5, resolve_trial_batch() + 1]),
+        short_bank=st.booleans(),
+        jam_to_signal_db=RATIO_DB,
+        noise_to_signal_db=RATIO_DB,
+        seed=st.integers(0, 2**32 - 1),
+        first_trial=st.integers(0, 1000),
+    )
+    def test_rows_equal_serial_trials(
+        self, signal_type, offset_bins, length, kind, n, short_bank,
+        jam_to_signal_db, noise_to_signal_db, seed, first_trial,
+    ):
+        bank = SHORT_BANK if short_bank else BANK
+        payloads = _payload_batch(kind, n, length, seed)
+        params = dict(
+            signal_type=signal_type,
+            jam_to_signal_db=jam_to_signal_db,
+            noise_to_signal_db=noise_to_signal_db,
+            offset_hz=offset_bins * OFFSET_BIN_MHZ * 1e6,
+            bank=bank,
+        )
+        batch = jam_trials(
+            payloads, rng=seed, first_trial=first_trial, **params
+        )
+        base = trial_base(seed)
+        for i, payload in enumerate(payloads):
+            ref = jam_trial(
+                payload, rng=trial_stream(base, first_trial + i), **params
+            )
+            assert batch.trial(i) == ref
 
 
 class TestCampaignInvariance:
