@@ -34,8 +34,10 @@ from conftest import RESULTS_DIR
 
 from repro.channel.link import Interferer, JammerSignalType, LinkBudget, LinkTable
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
-from repro.core.vecenv import _StackedMLP, _batched_act, _batched_train_step
+from repro.core.vecenv import _batched_act, _batched_train_step
 from repro.exec import timing
+from repro.nn.optimizers import Adam
+from repro.nn.stacked import StackedMLP
 from repro.phy import convolutional as C
 from repro.rng import derive
 
@@ -160,7 +162,11 @@ def _fresh_agents(n: int):
 def test_batched_dqn_stepping():
     n = 8
     cfg, agents = _fresh_agents(n)
-    stack = _StackedMLP(agents)
+    online = StackedMLP(
+        [agent.online for agent in agents],
+        optimizer=Adam(learning_rate=cfg.learning_rate),
+    )
+    target = StackedMLP([agent.target for agent in agents])
     rng = np.random.default_rng(2)
     obs = rng.standard_normal((n, cfg.observation_size))
 
@@ -171,7 +177,7 @@ def test_batched_dqn_stepping():
     )
     batched_act_s = _timed(
         "kernels.act.batched",
-        lambda: _batched_act(stack, agents, obs),
+        lambda: _batched_act(online, agents, obs),
         repeats=300,
     )
     SPEEDUPS["act"] = serial_act_s / batched_act_s
@@ -188,7 +194,7 @@ def test_batched_dqn_stepping():
     )
     batched_learn_s = _timed(
         "kernels.learn.batched",
-        lambda: _batched_train_step(stack, agents),
+        lambda: _batched_train_step(online, target, agents),
         repeats=60,
     )
     SPEEDUPS["learn"] = serial_learn_s / batched_learn_s

@@ -4,9 +4,10 @@ The paper trains a victim DQN against a *fixed* sweep/camp jammer. Here
 both sides learn: the victim picks (channel, power) as usual while a
 jammer DQN picks which block to jam each slot, observing only what a real
 jammer can sense (its own hit/miss history — :class:`JammerMemory`). The
-two populations train in lock-step on the :class:`VectorEnv` stacked
-tensors: ``pairs`` independent victim/jammer couples share two stacked
-forward/backward chains per slot instead of ``2 * pairs`` serial ones.
+two populations train in lock-step on
+:class:`~repro.nn.stacked.StackedMLP` tensors: ``pairs`` independent
+victim/jammer couples share two stacked forward/backward chains per slot
+instead of ``2 * pairs`` serial ones.
 
 The trained jammer deploys against *any* defence via
 ``FieldJammerConfig(adversary="learning", learning_agent=...)`` (field
@@ -25,7 +26,12 @@ from repro.constants import DEFAULT_HISTORY_LENGTH
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.envs import StepInfo, SweepJammingEnv, _SweepingJammer
 from repro.core.mdp import MDPConfig
-from repro.core.vecenv import _batched_act, _batched_train_step, _StackedMLP
+from repro.core.vecenv import (
+    _batched_act,
+    _batched_train_step,
+    _stack_agents,
+    _write_back,
+)
 from repro.errors import ConfigurationError
 from repro.jamming.adversary import JammerMemory
 from repro.obs import telemetry as obs_telemetry
@@ -216,8 +222,8 @@ def train_selfplay(
         DQNAgent(jammer_dqn, seed=derive(seed, f"selfplay-jammer[{i}]"))
         for i in range(cfg.pairs)
     ]
-    v_stack = _StackedMLP(victims)
-    j_stack = _StackedMLP(jammers)
+    v_online, v_target = _stack_agents(victims)
+    j_online, j_target = _stack_agents(jammers)
 
     victim_returns = np.zeros((cfg.pairs, cfg.episodes))
     jammer_returns = np.zeros((cfg.pairs, cfg.episodes))
@@ -230,8 +236,8 @@ def train_selfplay(
         v_obs = np.stack([p[0] for p in pairs])
         j_obs = np.stack([p[1] for p in pairs])
         for _ in range(cfg.steps_per_episode):
-            v_actions = _batched_act(v_stack, victims, v_obs)
-            j_actions = _batched_act(j_stack, jammers, j_obs)
+            v_actions = _batched_act(v_online, victims, v_obs)
+            j_actions = _batched_act(j_online, jammers, j_obs)
             for i, env in enumerate(envs):
                 next_v, next_j, v_reward, j_reward, info = env.step(
                     int(v_actions[i]), int(j_actions[i])
@@ -253,9 +259,9 @@ def train_selfplay(
             # warm-up gate flips for all pairs on the same slot (the
             # alignment _batched_train_step relies on).
             if len(victims[0].replay) >= victim_dqn.warmup_transitions:
-                _batched_train_step(v_stack, victims)
+                _batched_train_step(v_online, v_target, victims)
             if len(jammers[0].replay) >= jammer_dqn.warmup_transitions:
-                _batched_train_step(j_stack, jammers)
+                _batched_train_step(j_online, j_target, jammers)
         telem.tick(
             episodes=1.0,
             jam_rate=float(jam_rates[:, episode].mean())
@@ -266,8 +272,8 @@ def train_selfplay(
     telem.flush()
     jam_rates /= cfg.steps_per_episode
     for i in range(cfg.pairs):
-        v_stack.write_back(i, victims[i])
-        j_stack.write_back(i, jammers[i])
+        _write_back(v_online, v_target, i, victims[i])
+        _write_back(j_online, j_target, i, jammers[i])
     return SelfPlayResult(
         victim_agents=victims,
         jammer_agents=jammers,

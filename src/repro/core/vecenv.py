@@ -10,8 +10,9 @@ runs N *independent* seeded competitions in lock-step:
 * :func:`train_dqn_batch` builds N real :class:`~repro.core.dqn.DQNAgent`
   objects (their rng streams, replay buffers, and counters are the source
   of truth) but mirrors their network parameters and Adam state into
-  ``(N, ...)`` stacked tensors, so the ε-greedy ``act`` and the TD update
-  run as single 3-D ``matmul`` chains across all seeds.
+  ``(N, ...)`` :class:`~repro.nn.stacked.StackedMLP` stacks, so the
+  ε-greedy ``act`` and the TD update run as single 3-D ``matmul`` chains
+  across all seeds.
 
 Bit-identity with the serial path is a hard invariant, not an
 approximation: stacked ``matmul``/reductions apply the same IEEE
@@ -41,11 +42,12 @@ from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.errors import TrainingError
-from repro.nn.layers import Dense, ReLU
+from repro.nn.optimizers import Adam
+from repro.nn.stacked import StackedMLP
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.rng import SeedLike, derive
+from repro.rng import derive
 
 #: Environment variable selecting the in-process seed-batch width used by
 #: ``train_dqn_multi_seed``. ``1``/``off`` restores the purely serial path.
@@ -166,305 +168,18 @@ class VectorEnv:
         return VectorEnv([self.envs[i] for i in indices])
 
 
-class _StackedMLP:
-    """(N, ...) stacked mirror of N structurally identical online networks.
-
-    Holds stacked online parameters/gradients, stacked target parameters,
-    and stacked Adam state. All math runs as 3-D ``matmul`` + elementwise
-    ops, which apply per slice exactly the 2-D operations of the serial
-    :class:`repro.nn.network.Network`.
-    """
-
-    def __init__(self, agents: list[DQNAgent]) -> None:
-        template = agents[0].online.layers
-        self.spec: list[str] = []
-        for layer in template:
-            if isinstance(layer, Dense):
-                self.spec.append("dense")
-            elif isinstance(layer, ReLU):
-                self.spec.append("relu")
-            else:
-                raise TrainingError(
-                    f"batched training supports Dense/ReLU only, got "
-                    f"{type(layer).__name__}"
-                )
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        self.t_weights: list[np.ndarray] = []
-        self.t_biases: list[np.ndarray] = []
-        for li, kind in enumerate(self.spec):
-            if kind != "dense":
-                continue
-            self.weights.append(np.stack([a.online.layers[li].weight for a in agents]))
-            self.biases.append(np.stack([a.online.layers[li].bias for a in agents]))
-            self.t_weights.append(np.stack([a.target.layers[li].weight for a in agents]))
-            self.t_biases.append(np.stack([a.target.layers[li].bias for a in agents]))
-        self.grad_weights = [np.zeros_like(w) for w in self.weights]
-        self.grad_biases = [np.zeros_like(b) for b in self.biases]
-        # Adam state, created lazily like repro.nn.optimizers.Adam.
-        self.adam_m: list[np.ndarray] | None = None
-        self.adam_v: list[np.ndarray] | None = None
-        self.adam_t = 0
-        self._cache_inputs: list[np.ndarray] = []
-        self._cache_masks: list[np.ndarray] = []
-
-    @property
-    def num_stacked(self) -> int:
-        return self.weights[0].shape[0]
-
-    # -- forward/backward -----------------------------------------------------
-
-    def _forward(
-        self,
-        x: np.ndarray,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-        *,
-        cache: bool,
-    ) -> np.ndarray:
-        if cache:
-            self._cache_inputs.clear()
-            self._cache_masks.clear()
-        out = x
-        dense = 0
-        for kind in self.spec:
-            if kind == "dense":
-                if cache:
-                    self._cache_inputs.append(out)
-                out = np.matmul(out, weights[dense]) + biases[dense][:, None, :]
-                dense += 1
-            else:
-                mask = out > 0
-                if cache:
-                    self._cache_masks.append(mask)
-                out = np.where(mask, out, 0.0)
-        return out
-
-    def forward_online(self, x: np.ndarray, *, cache: bool = False) -> np.ndarray:
-        """Online-network forward over stacked input (N, B, obs)."""
-        return self._forward(x, self.weights, self.biases, cache=cache)
-
-    def forward_target(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x, self.t_weights, self.t_biases, cache=False)
-
-    def backward(self, grad: np.ndarray) -> None:
-        """Accumulate stacked parameter gradients from dL/d(output)."""
-        dense = len(self.weights) - 1
-        relu = len(self._cache_masks) - 1
-        for kind in reversed(self.spec):
-            if kind == "dense":
-                x = self._cache_inputs[dense]
-                self.grad_weights[dense] += np.matmul(x.transpose(0, 2, 1), grad)
-                self.grad_biases[dense] += grad.sum(axis=1)
-                grad = np.matmul(grad, self.weights[dense].transpose(0, 2, 1))
-                dense -= 1
-            else:
-                grad = grad * self._cache_masks[relu]
-                relu -= 1
-
-    def adam_step(self, optimizer) -> None:
-        """One stacked Adam update, mirroring ``Adam.step`` exactly."""
-        params = []
-        grads = []
-        for w, b, gw, gb in zip(
-            self.weights, self.biases, self.grad_weights, self.grad_biases
-        ):
-            params += [w, b]
-            grads += [gw, gb]
-        if self.adam_m is None:
-            self.adam_m = [np.zeros_like(p) for p in params]
-            self.adam_v = [np.zeros_like(p) for p in params]
-        self.adam_t += 1
-        beta1, beta2, eps = optimizer.beta1, optimizer.beta2, optimizer.epsilon
-        lr = optimizer.learning_rate
-        b1t = 1.0 - beta1**self.adam_t
-        b2t = 1.0 - beta2**self.adam_t
-        for p, g, m, v in zip(params, grads, self.adam_m, self.adam_v):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
-            g[...] = 0.0
-
-    # -- target sync ----------------------------------------------------------
-
-    def hard_sync(self) -> None:
-        for tw, w in zip(self.t_weights, self.weights):
-            tw[...] = w
-        for tb, b in zip(self.t_biases, self.biases):
-            tb[...] = b
-
-    def soft_sync(self, tau: float) -> None:
-        for tw, w in zip(self.t_weights, self.weights):
-            tw *= 1.0 - tau
-            tw += tau * w
-        for tb, b in zip(self.t_biases, self.biases):
-            tb *= 1.0 - tau
-            tb += tau * b
-
-    # -- slice management ------------------------------------------------------
-
-    def compact(self, keep: list[int]) -> None:
-        """Drop finished seeds' slices (matmul is per-slice for any N)."""
-        self.weights = [w[keep] for w in self.weights]
-        self.biases = [b[keep] for b in self.biases]
-        self.t_weights = [w[keep] for w in self.t_weights]
-        self.t_biases = [b[keep] for b in self.t_biases]
-        self.grad_weights = [g[keep] for g in self.grad_weights]
-        self.grad_biases = [g[keep] for g in self.grad_biases]
-        if self.adam_m is not None:
-            self.adam_m = [m[keep] for m in self.adam_m]
-            self.adam_v = [v[keep] for v in self.adam_v]
-        self._cache_inputs.clear()
-        self._cache_masks.clear()
-
-    def write_back(self, position: int, agent: DQNAgent) -> None:
-        """Copy slice ``position`` into the agent's real network/optimizer."""
-        weights: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            weights += [w[position].copy(), b[position].copy()]
-        agent.online.set_weights(weights)
-        t_weights: list[np.ndarray] = []
-        for w, b in zip(self.t_weights, self.t_biases):
-            t_weights += [w[position].copy(), b[position].copy()]
-        agent.target.set_weights(t_weights)
-        if self.adam_t > 0:
-            agent.optimizer._m = [m[position].copy() for m in self.adam_m]
-            agent.optimizer._v = [v[position].copy() for v in self.adam_v]
-            agent.optimizer._t = self.adam_t
-
-
-class PolicyStack:
-    """Inference-only stacked mirror of N structurally identical networks.
-
-    Unlike :class:`_StackedMLP` this holds no gradients, target copies, or
-    Adam state — just the stacked online weights — so it is cheap enough
-    to keep alive between calls. Staleness is tracked through each source
-    :class:`~repro.nn.network.Network`'s ``version`` counter:
-    :meth:`refresh` re-copies only the slices whose network mutated since
-    the stack was built.
-
-    When every entry is the *same* network object (a shared deployed
-    policy), the stack keeps live references to its 2-D arrays instead of
-    copying — broadcasting in the forward pass — so it can never go stale.
-    Each stacked slice applies the same IEEE operations as the serial
-    ``network.predict(obs_i)``, so results are bit-identical to scoring
-    one network at a time.
-    """
-
-    def __init__(self, networks: list) -> None:
-        if not networks:
-            raise TrainingError("a PolicyStack needs at least one network")
-        self.networks = list(networks)
-        first = self.networks[0]
-        self.spec: list[str] = []
-        for layer in first.layers:
-            if isinstance(layer, Dense):
-                self.spec.append("dense")
-            elif isinstance(layer, ReLU):
-                self.spec.append("relu")
-            else:
-                raise TrainingError(
-                    f"stacked inference supports Dense/ReLU only, got "
-                    f"{type(layer).__name__}"
-                )
-        self.shared = all(net is first for net in self.networks)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        if self.shared:
-            # Live views of the single network's arrays: every mutation
-            # path writes parameters in place, so these never go stale.
-            for li, kind in enumerate(self.spec):
-                if kind == "dense":
-                    self.weights.append(first.layers[li].weight)
-                    self.biases.append(first.layers[li].bias)
-        else:
-            for net in self.networks[1:]:
-                if len(net.layers) != len(first.layers) or any(
-                    isinstance(a, Dense)
-                    and (
-                        not isinstance(b, Dense)
-                        or a.weight.shape != b.weight.shape
-                    )
-                    for a, b in zip(first.layers, net.layers)
-                ):
-                    raise TrainingError("all agents must share geometry")
-            for li, kind in enumerate(self.spec):
-                if kind == "dense":
-                    self.weights.append(
-                        np.stack([net.layers[li].weight for net in self.networks])
-                    )
-                    self.biases.append(
-                        np.stack([net.layers[li].bias for net in self.networks])
-                    )
-        self._versions = [net.version for net in self.networks]
-
-    @property
-    def num_stacked(self) -> int:
-        return len(self.networks)
-
-    @property
-    def observation_size(self) -> int:
-        return int(self.weights[0].shape[-2])
-
-    @property
-    def num_actions(self) -> int:
-        return int(self.weights[-1].shape[-1])
-
-    def refresh(self) -> int:
-        """Re-copy slices whose source network mutated; returns the count."""
-        if self.shared:
-            return 0
-        stale = 0
-        for i, net in enumerate(self.networks):
-            if net.version == self._versions[i]:
-                continue
-            dense = 0
-            for li, kind in enumerate(self.spec):
-                if kind == "dense":
-                    self.weights[dense][i] = net.layers[li].weight
-                    self.biases[dense][i] = net.layers[li].bias
-                    dense += 1
-            self._versions[i] = net.version
-            stale += 1
-        return stale
-
-    def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values (N, 1, actions) for stacked observations (N, obs)."""
-        out = obs[:, None, :]
-        dense = 0
-        for kind in self.spec:
-            if kind == "dense":
-                if self.shared:
-                    out = np.matmul(out, self.weights[dense]) + self.biases[dense]
-                else:
-                    out = (
-                        np.matmul(out, self.weights[dense])
-                        + self.biases[dense][:, None, :]
-                    )
-                dense += 1
-            else:
-                out = np.where(out > 0, out, 0.0)
-        return out
-
-    def greedy_actions(self, obs: np.ndarray) -> np.ndarray:
-        """Greedy action per row; refreshes stale slices first."""
-        self.refresh()
-        return self.forward(obs).argmax(axis=2)[:, 0]
-
-
 #: Cached stacks keyed on the identity tuple of their source networks. A
-#: cached :class:`PolicyStack` holds strong references to its networks, so
-#: an ``id`` in a live key can never be recycled to a different object.
-_POLICY_STACK_CACHE: dict[tuple[int, ...], PolicyStack] = {}
+#: cached :class:`~repro.nn.stacked.StackedMLP` holds strong references to
+#: its networks, so an ``id`` in a live key can never be recycled to a
+#: different object.
+_POLICY_STACK_CACHE: dict[tuple[int, ...], StackedMLP] = {}
 
 #: Distinct network tuples kept stacked at once (FIFO eviction beyond this).
 POLICY_STACK_CACHE_LIMIT = 8
 
 
-def get_policy_stack(networks: list) -> PolicyStack:
-    """The cached :class:`PolicyStack` for this exact tuple of networks.
+def get_policy_stack(networks: list) -> StackedMLP:
+    """The cached :class:`~repro.nn.stacked.StackedMLP` for these networks.
 
     Repeat calls with the same network objects reuse the stacked arrays
     (refreshing any slices whose parameters mutated) instead of restacking
@@ -476,7 +191,7 @@ def get_policy_stack(networks: list) -> PolicyStack:
     if stack is None or any(
         a is not b for a, b in zip(stack.networks, networks)
     ):
-        stack = PolicyStack(networks)
+        stack = StackedMLP(networks)
         if key not in _POLICY_STACK_CACHE:
             while len(_POLICY_STACK_CACHE) >= POLICY_STACK_CACHE_LIMIT:
                 _POLICY_STACK_CACHE.pop(next(iter(_POLICY_STACK_CACHE)))
@@ -513,24 +228,42 @@ def greedy_policy_actions(agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray
             f"expected observations of shape "
             f"({len(agents)}, {first.config.observation_size}), got {obs.shape}"
         )
-    for agent in agents[1:]:
-        if (
-            agent.config.observation_size != first.config.observation_size
-            or agent.config.num_actions != first.config.num_actions
-        ):
-            raise TrainingError("all agents must share geometry")
     stack = get_policy_stack([agent.online for agent in agents])
     return stack.greedy_actions(obs)
 
 
-def _batched_act(stack: _StackedMLP, agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray:
+def _stack_agents(agents: list[DQNAgent]) -> tuple[StackedMLP, StackedMLP]:
+    """Online and target stacks over ``agents``, with one stacked Adam.
+
+    The stacked Adam takes the agents' hyperparameters; its state starts
+    empty like theirs and is written back with the online slices.
+    """
+    opt = agents[0].optimizer
+    online = StackedMLP(
+        [agent.online for agent in agents],
+        optimizer=Adam(opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon),
+    )
+    return online, StackedMLP([agent.target for agent in agents])
+
+
+def _write_back(
+    online: StackedMLP, target: StackedMLP, position: int, agent: DQNAgent
+) -> None:
+    """Copy one stacked slice into the agent's real networks and optimizer."""
+    online.write_back(position, agent.online, agent.optimizer)
+    target.write_back(position, agent.target)
+
+
+def _batched_act(
+    online: StackedMLP, agents: list[DQNAgent], obs: np.ndarray
+) -> np.ndarray:
     """ε-greedy actions for all seeds from one stacked forward pass.
 
     One (N, 1, obs) @ (N, obs, H) chain replaces N single-row forwards; the
     exploration draws then run per agent on its own rng, in the exact order
     ``DQNAgent.act`` consumes them.
     """
-    q = stack.forward_online(obs[:, None, :])
+    q = online.forward(obs[:, None, :])
     best = q.argmax(axis=2)[:, 0]
     actions = np.empty(len(agents), dtype=np.int64)
     for i, agent in enumerate(agents):
@@ -543,7 +276,7 @@ def _batched_act(stack: _StackedMLP, agents: list[DQNAgent], obs: np.ndarray) ->
 
 
 def _batched_train_step(
-    stack: _StackedMLP, agents: list[DQNAgent]
+    online: StackedMLP, target: StackedMLP, agents: list[DQNAgent]
 ) -> np.ndarray:
     """One TD(0) update for every seed; returns per-seed Huber losses.
 
@@ -559,9 +292,9 @@ def _batched_train_step(
     next_obs = np.stack([b.next_observations for b in batches])
     n, batch_size = actions.shape
 
-    next_q_target = stack.forward_target(next_obs)
+    next_q_target = target.forward(next_obs)
     if cfg.double_dqn:
-        next_q_online = stack.forward_online(next_obs)
+        next_q_online = online.forward(next_obs)
         best_next = next_q_online.argmax(axis=2)
         bootstrap = np.take_along_axis(
             next_q_target, best_next[:, :, None], axis=2
@@ -570,30 +303,34 @@ def _batched_train_step(
         bootstrap = next_q_target.max(axis=2)
     targets_for_actions = rewards + cfg.discount * bootstrap
 
-    prediction = stack.forward_online(obs, cache=True)
-    target = prediction.copy()
+    prediction = online.forward(obs, cache=True)
+    td_target = prediction.copy()
     rows = np.arange(n)[:, None], np.arange(batch_size)[None, :], actions
-    target[rows] = targets_for_actions
-    mask = np.zeros_like(target)
+    td_target[rows] = targets_for_actions
+    mask = np.zeros_like(td_target)
     mask[rows] = 1.0
 
     delta = agents[0].loss.delta
-    err = prediction - target
+    err = prediction - td_target
     abs_err = np.abs(err)
     quad = np.minimum(abs_err, delta)
     losses = np.mean(0.5 * quad**2 + delta * (abs_err - quad), axis=(1, 2))
     # Per-slice gradient: divide by the slice's element count (B·A), the
     # ``p.size`` the serial HuberLoss sees, not the stacked size.
     grad = np.clip(err, -delta, delta) / (batch_size * prediction.shape[2]) * mask
-    stack.backward(grad)
-    stack.adam_step(agents[0].optimizer)
+    online.backward(grad)
+    online.optimizer.step(online.parameters, online.gradients)
 
     for agent in agents:
         agent.train_steps += 1
-    if cfg.soft_update_tau is not None:
-        stack.soft_sync(cfg.soft_update_tau)
+    tau = cfg.soft_update_tau
+    if tau is not None:
+        for t_param, o_param in zip(target.parameters, online.parameters):
+            t_param *= 1.0 - tau
+            t_param += tau * o_param
     elif agents[0].train_steps % cfg.target_sync_interval == 0:
-        stack.hard_sync()
+        for t_param, o_param in zip(target.parameters, online.parameters):
+            t_param[...] = o_param
     return losses
 
 
@@ -643,7 +380,7 @@ def train_dqn_batch(
             f"obs={vec.observation_size}, actions={vec.num_actions}"
         )
     agents = [DQNAgent(dqn, seed=derive(s, "train-agent")) for s in seed_list]
-    stack = _StackedMLP(agents)
+    online, target = _stack_agents(agents)
 
     n = len(seed_list)
     rewards: list[list[float]] = [[] for _ in range(n)]
@@ -680,7 +417,7 @@ def train_dqn_batch(
             ep_rewards = [0.0] * len(active)
             ep_losses: list[list[float]] = [[] for _ in active]
             for _ in range(trainer.steps_per_episode):
-                actions = _batched_act(stack, live, obs)
+                actions = _batched_act(online, live, obs)
                 next_obs, step_rewards, _ = vec.step(actions)
                 scaled = step_rewards * trainer.reward_scale
                 stored = len(live[0].replay)
@@ -714,7 +451,7 @@ def train_dqn_batch(
                 for agent in live:
                     agent.env_steps += 1
                 if warmed_up:
-                    step_losses = _batched_train_step(stack, live)
+                    step_losses = _batched_train_step(online, target, live)
                     for pos in range(len(active)):
                         ep_losses[pos].append(float(step_losses[pos]))
                 obs = next_obs
@@ -760,15 +497,16 @@ def train_dqn_batch(
                         finished.append(pos)
             if finished:
                 for pos in finished:
-                    stack.write_back(pos, agents[active[pos]])
+                    _write_back(online, target, pos, agents[active[pos]])
                 keep = [p for p in range(len(active)) if p not in finished]
-                stack.compact(keep)
+                online.compact(keep)
+                target.compact(keep)
                 vec = vec.select(keep)
                 active = [active[p] for p in keep]
         telem.flush()
 
     for pos, i in enumerate(active):
-        stack.write_back(pos, agents[i])
+        _write_back(online, target, pos, agents[i])
     results = []
     for i, seed in enumerate(seed_list):
         agents[i].sync_target()
@@ -802,7 +540,6 @@ __all__ = [
     "DEFAULT_ENV_BATCH",
     "resolve_env_batch",
     "VectorEnv",
-    "PolicyStack",
     "POLICY_STACK_CACHE_LIMIT",
     "get_policy_stack",
     "clear_policy_stack_cache",

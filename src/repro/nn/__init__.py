@@ -12,6 +12,7 @@ from repro.nn.losses import HuberLoss, Loss, MeanSquaredError
 from repro.nn.network import Network, mlp
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.serialize import load_parameters, parameter_count, save_parameters
+from repro.nn.stacked import StackedMLP
 
 __all__ = [
     "Dense",
@@ -28,4 +29,5 @@ __all__ = [
     "load_parameters",
     "save_parameters",
     "parameter_count",
+    "StackedMLP",
 ]

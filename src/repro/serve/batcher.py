@@ -207,7 +207,12 @@ class MicroBatcher:
     def submit(
         self, network_id: int, policy: int, observation: np.ndarray
     ) -> list[Decision | ShedDecision]:
-        """Enqueue one request; returns any decisions this submit produced."""
+        """Enqueue one request; returns any decisions this submit produced.
+
+        A malformed request raises :class:`~repro.errors.ConfigurationError`
+        here, before it is queued, so it cannot fail a batch of others.
+        """
+        policy, observation = self.store.check_request(policy, observation)
         now = self.clock.now()
         produced: list[Decision | ShedDecision] = []
         if len(self._pending) >= self.queue_limit:
@@ -239,8 +244,8 @@ class MicroBatcher:
         self._pending.append(
             DecisionRequest(
                 network_id=int(network_id),
-                policy=int(policy),
-                observation=np.asarray(observation, dtype=np.float64),
+                policy=policy,
+                observation=observation,
                 submitted_at=now,
             )
         )

@@ -74,7 +74,12 @@ class DecisionServer:
     async def decide(
         self, network_id: int, policy: int, observation: np.ndarray
     ) -> Decision | ShedDecision:
-        """Answer one decision request (may wait for peers to batch with)."""
+        """Answer one decision request (may wait for peers to batch with).
+
+        A malformed request raises :class:`~repro.errors.ConfigurationError`
+        to this caller alone; it never enters the queue.
+        """
+        policy, observation = self.store.check_request(policy, observation)
         loop = asyncio.get_running_loop()
         if self._space is None:
             self._space = asyncio.Event()
@@ -109,8 +114,8 @@ class DecisionServer:
             await self._space.wait()
         request = DecisionRequest(
             network_id=int(network_id),
-            policy=int(policy),
-            observation=np.asarray(observation, dtype=np.float64),
+            policy=policy,
+            observation=observation,
             submitted_at=loop.time(),
         )
         future: asyncio.Future = loop.create_future()
@@ -154,26 +159,34 @@ class DecisionServer:
         if not batch:
             return
         now = loop.time()
-        policies = np.array([r.policy for r, _ in batch], dtype=np.intp)
-        observations = np.stack([r.observation for r, _ in batch])
-        actions = self.store.decide_batch(policies, observations)
-        METRICS.inc("serve.decisions", len(batch))
-        METRICS.inc("serve.batches")
-        METRICS.observe("serve.batch_size", len(batch))
-        latencies = [max(now - r.submitted_at, 0.0) for r, _ in batch]
-        METRICS.observe_many("serve.latency_s", latencies)
-        for (request, future), action, latency in zip(
-            batch, actions, latencies
-        ):
-            if not future.done():
-                future.set_result(
-                    Decision(
-                        network_id=request.network_id,
-                        action=int(action),
-                        batch_size=len(batch),
-                        latency_s=latency,
+        try:
+            actions = self.store.decide_batch(
+                np.array([r.policy for r, _ in batch], dtype=np.intp),
+                np.stack([r.observation for r, _ in batch]),
+            )
+        except Exception as exc:
+            # Every waiter of the failed batch learns why; none hangs.
+            for _, future in batch:
+                if not future.done():
+                    future.set_exception(exc)
+        else:
+            METRICS.inc("serve.decisions", len(batch))
+            METRICS.inc("serve.batches")
+            METRICS.observe("serve.batch_size", len(batch))
+            latencies = [max(now - r.submitted_at, 0.0) for r, _ in batch]
+            METRICS.observe_many("serve.latency_s", latencies)
+            for (request, future), action, latency in zip(
+                batch, actions, latencies
+            ):
+                if not future.done():
+                    future.set_result(
+                        Decision(
+                            network_id=request.network_id,
+                            action=int(action),
+                            batch_size=len(batch),
+                            latency_s=latency,
+                        )
                     )
-                )
         if self._space is not None and len(self._pending) < self.queue_limit:
             self._space.set()
         if self._pending and self._timer is None:

@@ -6,14 +6,17 @@ one geometry and answers "which action for this observation?" two ways:
 * :meth:`decide_serial` — one ``network.predict`` per request, the
   reference path every batched answer must match bit-for-bit.
 * :meth:`decide_batch` — one stacked forward for B requests that may
-  reference any mix of the P policies. Per-request weight slices are
-  gathered into ``(B, in, out)`` tensors so each slice applies exactly
-  the 2-D operations of the serial path (a single shared policy
-  broadcasts its 2-D weights instead of copying).
+  reference any mix of the P policies. Requests are grouped by policy,
+  and each group broadcasts over that policy's 2-D weight view, so every
+  row applies exactly the 2-D operations of the serial path.
 
-Stacking is built once on a :class:`repro.core.vecenv.PolicyStack` and
+Stacking is built once on a :class:`repro.nn.stacked.StackedMLP` and
 reused across calls; slices refresh automatically when a source network's
 parameters mutate (tracked through ``Network.version``).
+
+:meth:`PolicyStore.check_request` is the one validation of a single
+request; the batcher and the server call it at admission, so a bad
+request fails for its own caller before it can join a batch.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import os
 import numpy as np
 
 from repro.core.dqn import DQNAgent
-from repro.core.vecenv import PolicyStack
 from repro.errors import ConfigurationError
 from repro.nn.network import Network, mlp
 from repro.nn.serialize import PolicyBundle, load_policy_bundle
+from repro.nn.stacked import StackedMLP
 
 
 def _bundle_geometry(
@@ -91,7 +94,7 @@ class PolicyStore:
                     f"{self.names[0]} geometry {reference}"
                 )
         self.networks = list(networks)
-        self._stack = PolicyStack(self.networks)
+        self._stack = StackedMLP(self.networks)
 
     # -- constructors ----------------------------------------------------------
 
@@ -135,23 +138,30 @@ class PolicyStore:
 
     # -- inference -------------------------------------------------------------
 
-    def _check_policy(self, policy: int) -> int:
+    def check_request(
+        self, policy: int, observation: np.ndarray
+    ) -> tuple[int, np.ndarray]:
+        """Validate one request; returns ``(policy, 1-D float64 observation)``.
+
+        Raises :class:`~repro.errors.ConfigurationError` for a policy index
+        outside the store or an observation of the wrong width.
+        """
         policy = int(policy)
         if not 0 <= policy < len(self.networks):
             raise ConfigurationError(
                 f"policy index {policy} outside store of {len(self.networks)}"
             )
-        return policy
-
-    def decide_serial(self, policy: int, observation: np.ndarray) -> int:
-        """Reference path: one greedy action from one 2-D forward."""
-        policy = self._check_policy(policy)
         observation = np.asarray(observation, dtype=np.float64).reshape(-1)
         if observation.size != self.observation_size:
             raise ConfigurationError(
                 f"expected {self.observation_size} observation features, "
                 f"got {observation.size}"
             )
+        return policy, observation
+
+    def decide_serial(self, policy: int, observation: np.ndarray) -> int:
+        """Reference path: one greedy action from one 2-D forward."""
+        policy, observation = self.check_request(policy, observation)
         q = self.networks[policy].predict(observation)
         return int(np.argmax(q))
 
@@ -162,9 +172,10 @@ class PolicyStore:
 
         ``policies[i]`` selects the store entry scoring row i of
         ``observations`` (B, obs). Bit-identical to calling
-        :meth:`decide_serial` per row: the gathered ``(B, 1, in) @
-        (B, in, out)`` matmul applies the serial 2-D operations slice by
-        slice.
+        :meth:`decide_serial` per row: rows are grouped by policy and each
+        group's ``(G, 1, in) @ (in, out)`` matmul over that policy's 2-D
+        weight view applies the serial operation row by row, with no
+        per-request weight gather.
         """
         policies = np.asarray(policies, dtype=np.intp).reshape(-1)
         observations = np.asarray(observations, dtype=np.float64)
@@ -184,42 +195,13 @@ class PolicyStore:
                 f"policy indices must lie in [0, {len(self.networks)}), "
                 f"got range [{policies.min()}, {policies.max()}]"
             )
-        stack = self._stack
-        stack.refresh()
-        if stack.shared:
-            # One policy: its live 2-D weights broadcast over the batch.
-            return self._forward_2d(
-                observations, stack.weights, stack.biases
-            ).argmax(axis=2)[:, 0]
-        # Group rows by policy and broadcast each policy's 2-D weight
-        # views over its group — no per-request weight gather (which would
-        # copy megabytes of parameters per flush), and still bit-identical:
-        # every (1, in) @ (in, out) slice is the serial operation.
+        self._stack.refresh()
         actions = np.empty(policies.size, dtype=np.int64)
         for policy in np.unique(policies):
             rows = np.flatnonzero(policies == policy)
-            weights = [w[policy] for w in stack.weights]
-            biases = [b[policy] for b in stack.biases]
-            q = self._forward_2d(observations[rows], weights, biases)
+            q = self._stack.forward(observations[rows][:, None, :], index=policy)
             actions[rows] = q.argmax(axis=2)[:, 0]
         return actions
-
-    def _forward_2d(
-        self,
-        observations: np.ndarray,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-    ) -> np.ndarray:
-        """(B, 1, in) @ (in, out) broadcast forward over one policy's weights."""
-        out = observations[:, None, :]
-        dense = 0
-        for kind in self._stack.spec:
-            if kind == "dense":
-                out = np.matmul(out, weights[dense]) + biases[dense]
-                dense += 1
-            else:
-                out = np.where(out > 0, out, 0.0)
-        return out
 
 
 __all__ = ["PolicyStore"]

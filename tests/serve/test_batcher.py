@@ -207,3 +207,45 @@ class TestAdmission:
             return log
 
         assert run() == run()
+
+
+class TestFailureIsolation:
+    """A malformed request is refused at admission and never queued."""
+
+    @pytest.mark.parametrize(
+        "bad_policy, bad_width", [(0, 14), (5, 15)], ids=["width", "policy"]
+    )
+    def test_bad_request_fails_only_its_caller(self, bad_policy, bad_width):
+        store = PolicyStore([mlp(15, (8,), 5, seed=i) for i in range(2)])
+        clock = VirtualClock()
+        batcher = MicroBatcher(
+            store, max_batch=4, deadline_ms=10, queue_limit=64, clock=clock
+        )
+        rng = np.random.default_rng(0)
+        valid = [rng.random(15) for _ in range(3)]
+        outs = []
+        for i, obs in enumerate(valid):
+            outs += batcher.submit(i, i % 2, obs)
+        with pytest.raises(ConfigurationError):
+            batcher.submit(3, bad_policy, np.zeros(bad_width))
+        assert batcher.pending_depth == 3
+        clock.advance(0.010)  # the deadline, not the bad request, flushes
+        outs += batcher.poll()
+        assert [o.network_id for o in outs] == [0, 1, 2]
+        assert [o.action for o in outs] == [
+            store.decide_serial(i % 2, obs) for i, obs in enumerate(valid)
+        ]
+        assert batcher.pending_depth == 0
+
+    def test_row_shaped_observation_is_flattened_at_admission(self):
+        store = store_of()
+        batcher = MicroBatcher(
+            store, max_batch=2, deadline_ms=10, clock=VirtualClock()
+        )
+        obs = obs_for(store, 1)
+        outs = batcher.submit(0, 0, obs[None, :])
+        outs += batcher.submit(1, 1, obs)
+        assert [o.action for o in outs] == [
+            store.decide_serial(0, obs),
+            store.decide_serial(1, obs),
+        ]

@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.nn.network import mlp
 from repro.serve import Decision, DecisionServer, PolicyStore, ShedDecision
 
@@ -171,3 +171,85 @@ class TestAdmission:
         early, late = run(main())
         assert all(isinstance(r, Decision) for r in early)
         assert isinstance(late, Decision)
+
+
+class TestFailureIsolation:
+    """One malformed request fails alone; its batch peers are answered."""
+
+    @pytest.mark.parametrize(
+        "bad_policy, bad_width", [(0, 14), (5, 15)], ids=["width", "policy"]
+    )
+    def test_bad_request_fails_only_its_caller(self, bad_policy, bad_width):
+        store = PolicyStore([mlp(15, (8,), 5, seed=i) for i in range(2)])
+        rng = np.random.default_rng(0)
+        valid = [rng.random(15) for _ in range(3)]
+
+        async def main():
+            server = DecisionServer(
+                store, max_batch=4, deadline_ms=5, queue_limit=64
+            )
+            calls = [server.decide(i, i % 2, obs) for i, obs in enumerate(valid)]
+            calls.append(server.decide(3, bad_policy, np.zeros(bad_width)))
+            results = await asyncio.wait_for(
+                asyncio.gather(*calls, return_exceptions=True), timeout=5
+            )
+            depth = server.pending_depth
+            await server.stop()
+            return results, depth
+
+        results, depth = run(main())
+        assert depth == 0
+        assert isinstance(results[3], ConfigurationError)
+        assert [r.action for r in results[:3]] == [
+            store.decide_serial(i % 2, obs) for i, obs in enumerate(valid)
+        ]
+
+    def test_row_shaped_observation_is_flattened_at_admission(self):
+        store = store_of()
+        obs = np.random.default_rng(1).random((1, store.observation_size))
+
+        async def main():
+            server = DecisionServer(
+                store, max_batch=2, deadline_ms=1000, queue_limit=64
+            )
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    server.decide(0, 0, obs), server.decide(1, 1, obs[0])
+                ),
+                timeout=5,
+            )
+            await server.stop()
+            return results
+
+        results = run(main())
+        assert [r.action for r in results] == [
+            store.decide_serial(0, obs[0]),
+            store.decide_serial(1, obs[0]),
+        ]
+
+    def test_flush_failure_reaches_every_waiter(self, monkeypatch):
+        store = store_of()
+
+        def broken(policies, observations):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(store, "decide_batch", broken)
+
+        async def main():
+            server = DecisionServer(
+                store, max_batch=2, deadline_ms=1000, queue_limit=64
+            )
+            zeros = np.zeros(store.observation_size)
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    server.decide(0, 0, zeros),
+                    server.decide(1, 1, zeros),
+                    return_exceptions=True,
+                ),
+                timeout=5,
+            )
+            await server.stop()
+            return results
+
+        results = run(main())
+        assert all(isinstance(r, RuntimeError) for r in results)
