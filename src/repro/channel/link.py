@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.stats import binom
 
+from repro import config
 from repro.constants import (
     DSSS_PROCESSING_GAIN_DB,
     WIFI_BANDWIDTH_MHZ,
@@ -67,35 +67,10 @@ CHIP_FLIP_SLOPE_DB = 2.0
 PER_CACHE_ENV = "REPRO_PER_CACHE"
 
 #: Default number of memoised PER entries per :class:`LinkTable`.
-DEFAULT_PER_CACHE_CAPACITY = 1 << 16
+DEFAULT_PER_CACHE_CAPACITY = config.KNOBS[PER_CACHE_ENV].default
 
-
-def resolve_per_cache_capacity(value: int | str | None = None) -> int:
-    """Resolve the PER-cache capacity from an override or ``REPRO_PER_CACHE``.
-
-    ``None`` (and an unset, empty or blank environment) selects
-    :data:`DEFAULT_PER_CACHE_CAPACITY`; ``0``, ``off`` or ``none`` disable
-    caching entirely.
-    """
-    if value is None:
-        value = os.environ.get(PER_CACHE_ENV)
-    if isinstance(value, str):
-        value = value.strip()
-    if value is None or value == "":
-        # Blank counts as unset, as in every other REPRO_* resolver.
-        return DEFAULT_PER_CACHE_CAPACITY
-    if isinstance(value, str) and value.lower() in ("off", "none"):
-        return 0
-    try:
-        capacity = int(value)
-    except (TypeError, ValueError):
-        raise ChannelError(
-            f"invalid PER cache capacity {value!r}; expected an integer, "
-            f"'off', or 'none'"
-        ) from None
-    if capacity < 0:
-        raise ChannelError(f"PER cache capacity must be >= 0, got {capacity}")
-    return capacity
+#: PER-cache capacity from an override or ``REPRO_PER_CACHE`` (0 = off).
+resolve_per_cache_capacity = partial(config.resolve, PER_CACHE_ENV)
 
 
 class JammerSignalType(enum.Enum):

@@ -10,6 +10,7 @@ Commands
 ``bench``        Compare a ``BENCH_<name>.json`` artifact against a baseline.
 ``field-scale``  Scale the sharded multi-network field grid, print slots/sec.
 ``selfplay``     Train the learning jammer DQN-vs-DQN and print the curves.
+``config``       Print every ``REPRO_*`` knob as resolved, with its source.
 
 Results (tables, figures, emulation output) go to stdout; status chatter
 goes through the :mod:`repro.obs.log` structured logger on stderr and can
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
+from repro import config
 from repro.analysis import figures as figures_mod
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
@@ -81,22 +82,6 @@ log = obs_log.get_logger("cli")
 #: Default adversary set for ``repro figure adv`` (comma list, e.g.
 #: ``reactive,follower``); the ``--adversaries`` flag overrides it.
 ADVERSARIES_ENV = "REPRO_ADVERSARIES"
-
-
-def _resolve_adversaries(flag: str | None) -> tuple[str, ...]:
-    """``--adversaries``/``REPRO_ADVERSARIES`` comma list -> validated tuple."""
-    raw = flag if flag is not None else os.environ.get(ADVERSARIES_ENV)
-    if raw is None:
-        return ADVERSARIES
-    names = tuple(n.strip() for n in raw.split(",") if n.strip())
-    if not names:
-        raise ReproError("--adversaries needs at least one adversary name")
-    unknown = [n for n in names if n not in ADVERSARIES]
-    if unknown:
-        raise ReproError(
-            f"unknown adversaries {unknown}; expected names from {ADVERSARIES}"
-        )
-    return names
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -156,32 +141,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Execution-layer flags and the ``REPRO_*`` knob each one overrides.
+_EXEC_FLAGS = {
+    "workers": WORKERS_ENV,
+    "on_error": ON_ERROR_ENV,
+    "max_retries": MAX_RETRIES_ENV,
+    "env_batch": ENV_BATCH_ENV,
+    "trial_batch": TRIAL_BATCH_ENV,
+    "jammer_bank": JAMMER_BANK_ENV,
+    "shards": SHARDS_ENV,
+    "field_batch": FIELD_BATCH_ENV,
+    "channel": CHANNEL_ENV,
+}
+
+
 def _apply_exec_options(args: argparse.Namespace) -> None:
-    """Propagate execution-layer flags to the ``REPRO_*`` environment.
+    """Validate execution-layer flags and export them as ``REPRO_*`` knobs.
 
     The library's sweep entry points build their runner configuration from
     the environment, so the CLI flags (``--workers``, ``--on-error``,
-    ``--max-retries``) are exported rather than threaded through every
-    call signature.
+    ``--max-retries``, ...) are exported rather than threaded through every
+    call signature. A bad flag fails here with ``ConfigurationError``.
     """
-    if getattr(args, "workers", None) is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
-    if getattr(args, "on_error", None) is not None:
-        os.environ[ON_ERROR_ENV] = str(args.on_error)
-    if getattr(args, "max_retries", None) is not None:
-        os.environ[MAX_RETRIES_ENV] = str(args.max_retries)
-    if getattr(args, "env_batch", None) is not None:
-        os.environ[ENV_BATCH_ENV] = str(args.env_batch)
-    if getattr(args, "trial_batch", None) is not None:
-        os.environ[TRIAL_BATCH_ENV] = str(args.trial_batch)
-    if getattr(args, "jammer_bank", None) is not None:
-        os.environ[JAMMER_BANK_ENV] = str(args.jammer_bank)
-    if getattr(args, "shards", None) is not None:
-        os.environ[SHARDS_ENV] = str(args.shards)
-    if getattr(args, "field_batch", None) is not None:
-        os.environ[FIELD_BATCH_ENV] = str(args.field_batch)
-    if getattr(args, "channel", None) is not None:
-        os.environ[CHANNEL_ENV] = str(args.channel)
+    for attr, knob in _EXEC_FLAGS.items():
+        if getattr(args, attr, None) is not None:
+            config.export(knob, getattr(args, attr))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -397,7 +381,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
             )
         )
     elif name == "adv":
-        adversaries = _resolve_adversaries(args.adversaries)
+        adversaries = config.resolve(ADVERSARIES_ENV, args.adversaries) or ADVERSARIES
+        unknown = [n for n in adversaries if n not in ADVERSARIES]
+        if unknown:
+            raise ReproError(
+                f"unknown adversaries {unknown}; expected names from {ADVERSARIES}"
+            )
         if "learning" in adversaries:
             log.info(
                 "training the learning jammer via self-play",
@@ -692,6 +681,16 @@ def cmd_field_scale(args: argparse.Namespace) -> int:
             f"{args.slots} slots, scheme {args.scheme})",
         )
     )
+    return 0
+
+
+def cmd_config(args: argparse.Namespace) -> int:
+    """``repro config``: every ``REPRO_*`` knob, resolved, with its source."""
+    rows = [
+        [name, config.to_text(config.resolve(name)) or "-", config.source(name), k.doc]
+        for name, k in config.KNOBS.items()
+    ]
+    print(render_table(["knob", "value", "source", "doc"], rows))
     return 0
 
 
@@ -1326,13 +1325,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards",
-        type=int,
         default=None,
         help=f"spatial shards to split the field into (overrides {SHARDS_ENV})",
     )
     p.add_argument(
         "--field-batch",
-        type=int,
         default=None,
         help="slots of uniforms drawn per rng refill in aggregate sampling "
         f"(overrides {FIELD_BATCH_ENV})",
@@ -1346,9 +1343,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=int,
         default=None,
-        help="process-pool workers for the shard sweep",
+        help="process-pool workers for the shard sweep (overrides "
+        "REPRO_WORKERS; 'auto' = one per CPU)",
     )
     _add_fault_args(p)
     p.set_defaults(func=cmd_field_scale)
@@ -1455,6 +1452,11 @@ def build_parser() -> argparse.ArgumentParser:
         "the baseline (default 2.0)",
     )
     p.set_defaults(func=cmd_bench)
+
+    p = sub.add_parser(
+        "config", help="print every REPRO_* knob as resolved, with its source"
+    )
+    p.set_defaults(func=cmd_config)
     return parser
 
 

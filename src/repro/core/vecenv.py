@@ -34,10 +34,11 @@ The in-process batch width composes with the
 
 from __future__ import annotations
 
-import os
+from functools import partial
 
 import numpy as np
 
+from repro import config
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
@@ -54,34 +55,10 @@ from repro.rng import derive
 ENV_BATCH_ENV = "REPRO_ENV_BATCH"
 
 #: Default seeds trained per process when nothing is configured.
-DEFAULT_ENV_BATCH = 8
+DEFAULT_ENV_BATCH = config.KNOBS[ENV_BATCH_ENV].default
 
-
-def resolve_env_batch(value: int | str | None = None) -> int:
-    """Resolve the seed-batch width from an override or ``REPRO_ENV_BATCH``.
-
-    ``None`` (and an unset/empty environment) selects
-    :data:`DEFAULT_ENV_BATCH`; ``1``, ``off`` or ``none`` disable in-process
-    batching.
-    """
-    if value is None:
-        value = os.environ.get(ENV_BATCH_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return DEFAULT_ENV_BATCH
-        if text in ("off", "none"):
-            return 1
-        try:
-            value = int(text)
-        except ValueError:
-            raise TrainingError(
-                f"{ENV_BATCH_ENV} must be an integer or 'off', got {value!r}"
-            ) from None
-    batch = int(value)
-    if batch < 1:
-        raise TrainingError(f"env batch must be >= 1, got {batch}")
-    return batch
+#: Seed-batch width from an override or ``REPRO_ENV_BATCH``.
+resolve_env_batch = partial(config.resolve, ENV_BATCH_ENV)
 
 
 class VectorEnv:

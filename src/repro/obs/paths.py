@@ -2,29 +2,23 @@
 
 ``RUN_*.jsonl`` traces, ``PROF_*.pstats`` profiles and ``BENCH_*.json``
 timing snapshots all share one artifact directory: ``$REPRO_BENCH_DIR``
-when set, else ``benchmarks/results/`` at the repo root. This module owns
-that resolution so :mod:`repro.obs` never has to import the execution
-layer (which imports :mod:`repro.obs` for its metrics hooks).
+when set, else ``benchmarks/results/`` at the repo root.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
+from functools import partial
+
+from repro import config
 
 #: Environment variable overriding where observability artifacts are written.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
 #: Default artifact directory (benchmarks/results at the repo root).
-DEFAULT_ARTIFACT_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+DEFAULT_ARTIFACT_DIR = config.KNOBS[BENCH_DIR_ENV].default
 
-
-def artifact_dir() -> Path:
-    """Directory RUN/PROF/BENCH artifacts are written to (env-overridable)."""
-    override = os.environ.get(BENCH_DIR_ENV)
-    if override is not None and override.strip():
-        return Path(override)
-    return DEFAULT_ARTIFACT_DIR
+#: Directory RUN/PROF/BENCH artifacts are written to (env-overridable).
+artifact_dir = partial(config.resolve, BENCH_DIR_ENV)
 
 
 __all__ = ["BENCH_DIR_ENV", "DEFAULT_ARTIFACT_DIR", "artifact_dir"]

@@ -9,31 +9,30 @@ wrapper and each ``ParallelRunner`` dispatch) dump a
 
 Profiles do not nest — an inner stage inside an already-profiled outer
 stage is skipped, because :mod:`cProfile` cannot run two profilers at
-once. The hook costs one env lookup when off.
+once. The hook costs one env lookup when off; any value other than the
+on/off words (``1/true/yes/on``, ``0/false/no/off``) is a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import cProfile
-import os
 import re
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
+from repro import config
 from repro.obs.paths import artifact_dir
 
 #: Environment variable enabling the profile hook.
 PROFILE_ENV = "REPRO_PROFILE"
 
-_FALSY = {"", "0", "false", "no", "off"}
-
 _ACTIVE = False
 
-
-def profiling_enabled() -> bool:
-    """True when ``REPRO_PROFILE`` is set to a truthy value."""
-    return os.environ.get(PROFILE_ENV, "").strip().lower() not in _FALSY
+#: True when ``REPRO_PROFILE`` is on (``1/true/yes/on``; off by default).
+profiling_enabled = partial(config.resolve, PROFILE_ENV)
 
 
 def _safe_name(stage: str) -> str:

@@ -16,7 +16,8 @@ Telemetry is **off by default** and costs one attribute check when off.
   artifacts (``$REPRO_BENCH_DIR``, default ``benchmarks/results/``);
 * ``REPRO_TELEM=/tmp/t.jsonl`` (a path separator or ``.jsonl`` suffix)
   writes to that exact path;
-* ``REPRO_TELEM=1`` uses the default name ``run``.
+* ``REPRO_TELEM=1`` (or ``true/yes/on``) uses the default name ``run``;
+  ``0/false/no/off`` leave telemetry off.
 
 ``REPRO_TELEM_INTERVAL`` sets the window length in slots/episodes
 (default 20); ``REPRO_TELEM_WINDOW`` bounds the in-memory ring of a
@@ -25,7 +26,8 @@ Telemetry is **off by default** and costs one attribute check when off.
 Record types, one JSON object per line:
 
 ``header``
-    first line: run name, UTC time, interval, the ``REPRO_*`` env.
+    first line: run name, UTC time, interval, the resolved ``REPRO_*``
+    knobs (:func:`repro.config.snapshot`).
 ``frame``
     one completed window. Generic frames (training loops) carry a
     ``values`` dict of sums over the window's ticks. Field frames
@@ -59,12 +61,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Mapping, TextIO
 
+from repro import config
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import DEFAULT_BUCKETS, METRICS
-from repro.obs.paths import artifact_dir
 
 #: Environment variable enabling telemetry (run name, path, or truthy flag).
 TELEM_ENV = "REPRO_TELEM"
@@ -76,54 +79,24 @@ TELEM_INTERVAL_ENV = "REPRO_TELEM_INTERVAL"
 TELEM_WINDOW_ENV = "REPRO_TELEM_WINDOW"
 
 #: Default window length (slots or episodes per frame).
-DEFAULT_INTERVAL = 20
+DEFAULT_INTERVAL = config.KNOBS[TELEM_INTERVAL_ENV].default
 
 #: Default ring capacity (frames kept in memory per recorder).
-DEFAULT_RING = 256
+DEFAULT_RING = config.KNOBS[TELEM_WINDOW_ENV].default
 
 #: Bucket bounds of the per-window negotiation-latency histogram carried
 #: by field frames. Fixed globally so shard-side bucket counts (integers)
 #: merge by plain addition.
 LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
 
-_TRUTHY = {"1", "true", "yes", "on"}
+#: Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off.
+telem_target = partial(config.resolve, TELEM_ENV)
 
+#: Window length from ``REPRO_TELEM_INTERVAL`` (default 20).
+telem_interval = partial(config.resolve, TELEM_INTERVAL_ENV)
 
-def telem_target() -> Path | None:
-    """Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off."""
-    value = os.environ.get(TELEM_ENV, "").strip()
-    if not value:
-        return None
-    if value.lower() in _TRUTHY:
-        return artifact_dir() / "TELEM_run.jsonl"
-    if os.sep in value or value.endswith(".jsonl"):
-        return Path(value)
-    return artifact_dir() / f"TELEM_{value}.jsonl"
-
-
-def _positive_int_env(env: str, default: int) -> int:
-    text = os.environ.get(env, "").strip()
-    if not text:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{env} must be a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"{env} must be >= 1, got {value}")
-    return value
-
-
-def telem_interval() -> int:
-    """Window length from ``REPRO_TELEM_INTERVAL`` (default 20)."""
-    return _positive_int_env(TELEM_INTERVAL_ENV, DEFAULT_INTERVAL)
-
-
-def telem_window() -> int:
-    """Ring capacity from ``REPRO_TELEM_WINDOW`` (default 256)."""
-    return _positive_int_env(TELEM_WINDOW_ENV, DEFAULT_RING)
+#: Ring capacity from ``REPRO_TELEM_WINDOW`` (default 256).
+telem_window = partial(config.resolve, TELEM_WINDOW_ENV)
 
 
 class _TelemState:
@@ -191,9 +164,7 @@ def _header_record(state: _TelemState) -> dict:
         "time": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "interval": state.interval,
         "latency_buckets": list(LATENCY_BUCKETS),
-        "env": {
-            k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
-        },
+        "config": config.snapshot(),
     }
 
 

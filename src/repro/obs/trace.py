@@ -8,7 +8,8 @@ selves. Setting ``REPRO_TRACE`` turns it on:
   artifacts (``$REPRO_BENCH_DIR``, default ``benchmarks/results/``);
 * ``REPRO_TRACE=/tmp/t.jsonl`` (any value containing a path separator or
   ending in ``.jsonl``) writes to that exact path;
-* ``REPRO_TRACE=1`` uses the default run name ``run``.
+* ``REPRO_TRACE=1`` (or ``true/yes/on``) uses the default run name
+  ``run``; ``0/false/no/off`` leave tracing off.
 
 ``REPRO_TRACE_SAMPLE`` (a float in ``(0, 1]``, default 1) keeps that
 fraction of *event* records — spans, the manifest, and the final metrics
@@ -20,8 +21,9 @@ Record types, one JSON object per line:
 
 ``manifest``
     first line of every trace: run name, trace id, UTC time, git SHA,
-    platform/python, argv, the ``REPRO_*`` environment, and anything the
-    entry point passed to :func:`start_run` (config, seeds, ...).
+    platform/python, argv, every ``REPRO_*`` knob as resolved
+    (:func:`repro.config.snapshot`), and anything the entry point passed
+    to :func:`start_run` (config, seeds, ...).
 ``span``
     one closed span: ``id``, ``parent`` (id or null), ``name``, ``t0``
     (epoch seconds), ``dur`` (seconds), free-form ``attrs``. Written on
@@ -58,13 +60,13 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from repro.errors import ConfigurationError
+from repro import config
 from repro.obs import telemetry as obs_telemetry
 from repro.obs.metrics import METRICS
-from repro.obs.paths import artifact_dir
 
 #: Environment variable enabling tracing (run name, path, or truthy flag).
 TRACE_ENV = "REPRO_TRACE"
@@ -72,35 +74,11 @@ TRACE_ENV = "REPRO_TRACE"
 #: Environment variable setting the event sampling rate (float in (0, 1]).
 SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 
-_TRUTHY = {"1", "true", "yes", "on"}
+#: Trace file selected by ``REPRO_TRACE``, or ``None`` when off.
+trace_target = partial(config.resolve, TRACE_ENV)
 
-
-def trace_target() -> Path | None:
-    """Trace file selected by ``REPRO_TRACE``, or ``None`` when disabled."""
-    value = os.environ.get(TRACE_ENV, "").strip()
-    if not value:
-        return None
-    if value.lower() in _TRUTHY:
-        return artifact_dir() / "RUN_run.jsonl"
-    if os.sep in value or value.endswith(".jsonl"):
-        return Path(value)
-    return artifact_dir() / f"RUN_{value}.jsonl"
-
-
-def sample_rate() -> float:
-    """Event sampling rate from ``REPRO_TRACE_SAMPLE`` (default: keep all)."""
-    text = os.environ.get(SAMPLE_ENV, "").strip()
-    if not text:
-        return 1.0
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SAMPLE_ENV} must be a float in (0, 1], got {text!r}"
-        ) from None
-    if not 0.0 < rate <= 1.0:
-        raise ConfigurationError(f"{SAMPLE_ENV} must be in (0, 1], got {rate}")
-    return rate
+#: Event sampling rate from ``REPRO_TRACE_SAMPLE`` (default: keep all).
+sample_rate = partial(config.resolve, SAMPLE_ENV)
 
 
 class _TraceState:
@@ -232,9 +210,7 @@ def _manifest_record(state: _TraceState) -> dict:
         "argv": list(sys.argv),
         "pid": state.pid,
         "sample": state.sample,
-        "env": {
-            k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
-        },
+        "config": config.snapshot(),
         **_jsonable(state.extra),
     }
 

@@ -12,12 +12,13 @@ cannot change the values drawn.
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generic, TypeVar
 
 import numpy as np
 
+from repro import config
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import trace as obs_trace
 from repro.rng import SeedLike, make_rng
@@ -29,33 +30,13 @@ RecordT = TypeVar("RecordT")
 FIELD_BATCH_ENV = "REPRO_FIELD_BATCH"
 
 #: Default slots per refill when nothing is configured.
-DEFAULT_FIELD_BATCH = 64
+DEFAULT_FIELD_BATCH = config.KNOBS[FIELD_BATCH_ENV].default
 
-
-def resolve_field_batch(value: int | str | None = None) -> int:
-    """Resolve the stream refill size from an override or ``REPRO_FIELD_BATCH``.
-
-    ``None`` (and an unset/empty environment) selects
-    :data:`DEFAULT_FIELD_BATCH`. Any value is bit-identical to any other:
-    ``Generator.random(n)`` produces exactly the doubles ``n`` sequential
-    ``random()`` calls would, so blocking only changes buffering.
-    """
-    if value is None:
-        value = os.environ.get(FIELD_BATCH_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return DEFAULT_FIELD_BATCH
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FIELD_BATCH_ENV} must be an integer, got {value!r}"
-            ) from None
-    batch = int(value)
-    if batch < 1:
-        raise ConfigurationError(f"field batch must be >= 1, got {batch}")
-    return batch
+#: Stream refill size from an override or ``REPRO_FIELD_BATCH``. Any value
+#: is bit-identical to any other: ``Generator.random(n)`` produces exactly
+#: the doubles ``n`` sequential ``random()`` calls would, so blocking only
+#: changes buffering.
+resolve_field_batch = partial(config.resolve, FIELD_BATCH_ENV)
 
 
 def check_num_slots(num_slots: int) -> int:

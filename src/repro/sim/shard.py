@@ -28,12 +28,13 @@ be replayed alone bit-for-bit (absent interference).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro import config
 from repro.channel.fidelity import JamAdjudicator, make_channel, resolve_channel_tier
 from repro.channel.link import Interferer, JammerSignalType, LinkBudget
 from repro.channel.propagation import LogDistancePathLoss
@@ -43,7 +44,7 @@ from repro.core.policy import TabularPolicy, ThresholdPolicy
 from repro.core.vecenv import greedy_policy_actions
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
-from repro.exec.runner import ParallelRunner, resolve_workers
+from repro.exec.runner import ParallelRunner
 from repro.jamming.adversary import make_field_jammer
 from repro.jamming.jammer import FieldJammer
 from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
@@ -68,37 +69,14 @@ from repro.sim.scenario import SCHEMES, scheme_policy
 #: Environment variable selecting the default shard count.
 SHARDS_ENV = "REPRO_SHARDS"
 
+#: Shard count from an override or ``REPRO_SHARDS`` (``auto`` = one per
+#: CPU). Any value produces bitwise-identical results.
+resolve_shards = partial(config.resolve, SHARDS_ENV)
+
 # MDP states packed into an int array: J and TJ get negative codes, clean
 # streaks keep their positive value.
 _J_CODE = -2
 _TJ_CODE = -1
-
-
-def resolve_shards(value: int | str | None = None) -> int:
-    """Resolve a shard count from an override or ``REPRO_SHARDS``.
-
-    ``None`` (and an unset/empty environment) selects a single shard;
-    ``auto`` matches the machine's core count. Any value produces
-    bitwise-identical results — sharding is a pure performance knob.
-    """
-    if value is None:
-        value = os.environ.get(SHARDS_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return 1
-        if text == "auto":
-            return resolve_workers("auto")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SHARDS_ENV} must be an integer or 'auto', got {value!r}"
-            ) from None
-    shards = int(value)
-    if shards < 1:
-        raise ConfigurationError(f"shard count must be >= 1, got {shards}")
-    return shards
 
 
 def _state_obj(code: int) -> State:

@@ -124,6 +124,16 @@ class TestFaultPolicyFromEnv:
         with pytest.raises(ConfigurationError):
             FaultPolicy.from_env()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_timeout_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(TIMEOUT_ENV, value)
+        with pytest.raises(ConfigurationError, match=TIMEOUT_ENV):
+            FaultPolicy.from_env()
+
+    def test_nan_timeout_rejected_directly(self):
+        with pytest.raises(ConfigurationError):
+            FaultPolicy(timeout_s=float("nan"))
+
 
 class TestInjector:
     def test_zero_rate_never_fires(self):

@@ -132,3 +132,57 @@ class TestCalibrateCommand:
         assert args.channel == "hybrid"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--channel", "exact"])
+
+
+class TestConfigKnobs:
+    def test_config_lists_every_knob_once(self, capsys):
+        from repro import config
+
+        assert main(["config"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in config.KNOBS:
+            assert sum(line.split()[0] == name for line in lines if line) == 1
+
+    def test_config_reports_source_and_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SHARDS", " 3 ")
+        assert main(["config"]) == 0
+        row = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("REPRO_SHARDS ")
+        )
+        assert [cell.strip() for cell in row.split("|")][1:3] == ["3", "env"]
+
+    def test_config_fails_on_invalid_knob(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "many")
+        assert main(["config"]) == 1
+
+    def test_bad_exec_flag_fails_before_running(self, monkeypatch):
+        import os
+
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        argv = ["field-scale", "--networks", "4", "--slots", "2", "--shards", "foo"]
+        assert main(argv) == 1
+        assert "REPRO_SHARDS" not in os.environ
+
+    def test_blank_adversaries_env_selects_all(self, monkeypatch):
+        # Blank means unset, i.e. all four adversaries.
+        from repro import cli
+        from repro.jamming.jammer import ADVERSARIES
+
+        seen = []
+
+        def fake_comparison(adversaries, **kwargs):
+            seen.append(adversaries)
+            return {}
+
+        monkeypatch.setattr(
+            cli.figures_mod, "adversary_scheme_comparison", fake_comparison
+        )
+        monkeypatch.setenv("REPRO_ADVERSARIES", "  ")
+        assert main(["figure", "adv", "--slots", "10"]) == 0
+        monkeypatch.setenv("REPRO_ADVERSARIES", " reactive , follower ")
+        assert main(["figure", "adv", "--slots", "10"]) == 0
+        monkeypatch.setenv("REPRO_ADVERSARIES", "reactive,nonesuch")
+        assert main(["figure", "adv", "--slots", "10"]) == 1
+        assert seen == [ADVERSARIES, ("reactive", "follower")]

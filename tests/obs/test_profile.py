@@ -2,6 +2,9 @@
 
 import pstats
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.exec import timing
 from repro.obs import profile
 
@@ -17,6 +20,22 @@ class TestProfileHook:
             monkeypatch.setenv(profile.PROFILE_ENV, value)
             assert not profile.profiling_enabled()
         monkeypatch.setenv(profile.PROFILE_ENV, "1")
+        assert profile.profiling_enabled()
+
+    @pytest.mark.parametrize("value", ["garbage", "2", "enabled"])
+    def test_unknown_word_rejected(self, monkeypatch, tmp_path, value):
+        # Only the on/off words are accepted; nothing else means "on".
+        monkeypatch.setenv(profile.PROFILE_ENV, value)
+        with pytest.raises(ConfigurationError, match=profile.PROFILE_ENV):
+            profile.profiling_enabled()
+        with pytest.raises(ConfigurationError):
+            with profile.maybe_profile("stage", directory=tmp_path):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
+    def test_truthy_values(self, monkeypatch, value):
+        monkeypatch.setenv(profile.PROFILE_ENV, value)
         assert profile.profiling_enabled()
 
     def test_dumps_pstats(self, monkeypatch, tmp_path):

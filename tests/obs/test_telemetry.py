@@ -39,6 +39,18 @@ class TestTargetResolution:
         monkeypatch.setenv(telemetry.TELEM_ENV, str(target))
         assert telemetry.telem_target() == target
 
+    @pytest.mark.parametrize("word", ["0", "off", "false", "no", " OFF "])
+    def test_off_words_disable(self, monkeypatch, tmp_path, word):
+        # Off words switch telemetry off; they are not run names.
+        monkeypatch.setenv(telemetry.TELEM_ENV, word)
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        telemetry.reset()
+        assert telemetry.telem_target() is None
+        assert not telemetry.enabled()
+        telemetry.record_frame({"type": "frame", "series": "x", "window": 0})
+        assert telemetry.finish_run() is None
+        assert list(tmp_path.iterdir()) == []
+
     def test_interval_and_window_envs(self, monkeypatch):
         assert telemetry.telem_interval() == telemetry.DEFAULT_INTERVAL
         monkeypatch.setenv(telemetry.TELEM_INTERVAL_ENV, "7")
@@ -69,6 +81,15 @@ class TestLifecycle:
         assert records[-1]["counters"]["sim.slots"] == 5
         # finish_run disables until the next reset
         assert not telemetry.enabled()
+
+    def test_header_records_resolved_config(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(telemetry.TELEM_INTERVAL_ENV, " 7 ")
+        path = _set_target(monkeypatch, tmp_path)
+        telemetry.record_frame({"type": "frame", "series": "x", "window": 0})
+        telemetry.finish_run()
+        recorded = _records(path)[0]["config"]
+        assert recorded[telemetry.TELEM_INTERVAL_ENV] == 7
+        assert recorded[telemetry.TELEM_ENV] == str(path)
 
     def test_no_frames_no_file(self, monkeypatch, tmp_path):
         path = _set_target(monkeypatch, tmp_path)

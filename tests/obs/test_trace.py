@@ -54,6 +54,18 @@ class TestTargetResolution:
         monkeypatch.setenv(trace.TRACE_ENV, "  ")
         assert trace.trace_target() is None
 
+    @pytest.mark.parametrize("word", ["0", "off", "false", "no", " OFF "])
+    def test_off_words_disable(self, monkeypatch, tmp_path, word):
+        # Off words switch tracing off; they are not run names.
+        monkeypatch.setenv(trace.TRACE_ENV, word)
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        assert trace.trace_target() is None
+        assert trace.start_run(command="test") is False
+        with trace.span("x"):
+            trace.event("y")
+        assert trace.finish_run() is None
+        assert list(tmp_path.iterdir()) == []
+
     def test_sample_rate_validation(self, monkeypatch):
         monkeypatch.setenv(trace.SAMPLE_ENV, "2.0")
         with pytest.raises(ConfigurationError):
@@ -77,6 +89,19 @@ class TestRecording:
         assert manifest["seeds"] == [1, 2]
         assert manifest["trace"] == records[1]["trace"]
         assert records[-1]["type"] == "metrics"
+
+    def test_manifest_records_resolved_config(self, monkeypatch, tmp_path):
+        target = enable(monkeypatch, tmp_path, "cfg")
+        monkeypatch.setenv("REPRO_WORKERS", " 3 ")
+        monkeypatch.setenv("REPRO_SHARDS", "many")  # invalid: kept as raw text
+        assert trace.start_run(command="test") is True
+        trace.event("ping")
+        trace.finish_run()
+        recorded = read_records(target)[0]["config"]
+        assert recorded["REPRO_WORKERS"] == 3
+        assert recorded["REPRO_SHARDS"] == "many"
+        assert recorded["REPRO_TRACE"] == str(target)
+        assert recorded["REPRO_TRACE_SAMPLE"] == 1.0
 
     def test_span_nesting_parents(self, monkeypatch, tmp_path):
         target = enable(monkeypatch, tmp_path)

@@ -59,6 +59,14 @@ class TestResolvers:
         with pytest.raises(ConfigurationError, match=">= 1"):
             resolve_serve_batch(0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, monkeypatch, value):
+        with pytest.raises(ConfigurationError, match=SERVE_DEADLINE_ENV):
+            resolve_serve_deadline_ms(value)
+        monkeypatch.setenv(SERVE_DEADLINE_ENV, str(value))
+        with pytest.raises(ConfigurationError, match=SERVE_DEADLINE_ENV):
+            resolve_serve_deadline_ms()
+
 
 class TestSizeTrigger:
     def test_batch_fills_then_flushes(self):
